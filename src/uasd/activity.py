@@ -28,7 +28,7 @@ from .nn import (
     cross_entropy_from_logits,
     softmax,
 )
-from .nn.netspec import build_network, state_arrays
+from .nn.netspec import build_network
 from .seeding import rng_for
 
 log = logging.getLogger(__name__)
@@ -274,13 +274,19 @@ def train_activity_model(
     return params, training_log
 
 
-def anomaly_score_sad(features: FeatureMatrix, params: ActivityModelParams) -> float:
+def anomaly_score_sad(
+    features: FeatureMatrix, params: ActivityModelParams,
+    emb: np.ndarray | None = None,
+) -> float:
     """Detection-error anomaly score: mean window loss over the clip.
 
-    Requires ground-truth frame labels on the feature matrix.
+    Requires ground-truth frame labels on the feature matrix. ``emb`` is
+    the clip's embed_features output when the caller already has it.
     """
-    clip = clip_windows(features, params.window_frames, need_labels=True)
-    return float(window_losses(clip.data, clip.labels, params).mean())
+    labels = window_labels(features, params.window_frames)
+    if emb is None:
+        emb = embed_features(features, params)
+    return float(window_losses_from_embeddings(emb, labels, params.classifier).mean())
 
 
 def embed_features(features: FeatureMatrix, params: ActivityModelParams) -> np.ndarray:

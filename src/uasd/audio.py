@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class AudioClip:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.n_samples / self.sample_rate_hz
 
     def power(self) -> float:
         """Mean squared amplitude over the whole clip."""
@@ -90,6 +86,11 @@ def read_wav(path) -> AudioClip:
     if n_channels != 1:
         raise WavFormatError(f"{path}: {n_channels} channels, only mono is supported")
 
+    if len(payload) % max(bits // 8, 1):
+        raise WavFormatError(
+            f"{path}: data chunk of {len(payload)} bytes is not a whole number "
+            f"of {bits}-bit samples"
+        )
     if audio_format == WAVE_FORMAT_PCM and bits == 16:
         raw = np.frombuffer(payload, dtype="<i2")
         samples = raw.astype(np.float64) / _PCM16_SCALE

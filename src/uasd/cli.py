@@ -3,19 +3,21 @@
     asd gen-data  --config exp.cfg [--set key=value ...]
     asd train     --config exp.cfg --method sad|od-sad|ae-labeled|ae-unlabeled
                   [--reuse sad.ckpt]
-    asd score     --config exp.cfg --method M --split train|test | --clip ID
+    asd score     --config exp.cfg --method m1[,m2,...] --split train|test | --clip ID
     asd evaluate  --config exp.cfg [--methods m1,m2,...]
     asd trace     --config exp.cfg --clip ID
 
+`score` with several methods writes one CSV per method; sad and od-sad
+scored together embed each clip once.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure. UASD_NUM_THREADS caps BLAS threading when set.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -45,16 +47,8 @@ def _method(name: str) -> str:
     return _METHOD_ALIASES[name]
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("UASD_NUM_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except ImportError:
-        log.warning("UASD_NUM_THREADS set but threadpoolctl is unavailable")
+def _methods(names: str) -> list[str]:
+    return list(dict.fromkeys(_method(m) for m in names.split(",") if m))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,9 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--reuse", default=None,
                          help="existing sad checkpoint for od-sad")
 
-    p_score = sub.add_parser("score", help="score clips with one method")
+    p_score = sub.add_parser("score", help="score clips with one or more methods")
     common(p_score)
-    p_score.add_argument("--method", required=True)
+    p_score.add_argument("--method", required=True,
+                         help="method or comma-separated method list")
     p_score.add_argument("--split", default=None, choices=["train", "test"])
     p_score.add_argument("--clip", default=None, help="score a single clip id")
 
@@ -109,15 +104,15 @@ def _run(args) -> int:
     elif args.command == "score":
         if (args.split is None) == (args.clip is None):
             raise ConfigError("score needs exactly one of --split or --clip")
-        method = _method(args.method)
-        records = experiment.score([method], split=args.split or "test",
+        methods = _methods(args.method)
+        records = experiment.score(methods, split=args.split or "test",
                                    clip_id=args.clip)
         tag = f"clip_{args.clip}" if args.clip else args.split
-        print(f"wrote {len(records[method])} scores to "
-              f"{experiment.paths.scores_csv(method, tag)}")
+        for method in methods:
+            print(f"wrote {len(records[method])} scores to "
+                  f"{experiment.paths.scores_csv(method, tag)}")
     elif args.command == "evaluate":
-        methods = [_method(m) for m in args.methods.split(",") if m]
-        report = experiment.evaluate(methods)
+        report = experiment.evaluate(_methods(args.methods))
         print(report.to_text_table())
         print(f"report: {experiment.paths.report_json}")
     elif args.command == "trace":
@@ -132,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    _apply_thread_cap()
     try:
         return _run(args)
     except ConfigError as exc:

@@ -12,7 +12,6 @@ inside an active interval.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .errors import ContractError, DegenerateInputError
 from .synth import ActivityIntervals
 
 LOG_FLOOR = 1e-10
-_CACHE_MAGIC = b"UASDFEAT"
 
 
 @dataclass
@@ -201,27 +199,3 @@ def windows(features: FeatureMatrix, L: int) -> list[FeatureWindow]:
         for t in range(data.shape[0])
     ]
 
-
-def save_feature_cache(features: FeatureMatrix, path) -> None:
-    """Flat binary cache: 16-byte header (magic, T, F), then T*F float64 LE."""
-    T, F = features.frames.shape
-    header = _CACHE_MAGIC + struct.pack("<II", T, F)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(features.frames, dtype="<f8").tobytes())
-
-
-def load_feature_cache(path, config: FeatureConfig) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:8] != _CACHE_MAGIC:
-            raise DegenerateInputError(f"{path}: not a feature cache file")
-        T, F = struct.unpack("<II", header[8:])
-        data = np.frombuffer(fh.read(T * F * 8), dtype="<f8")
-    if data.size != T * F:
-        raise DegenerateInputError(f"{path}: truncated feature cache")
-    return FeatureMatrix(
-        data.reshape(T, F).astype(np.float64),
-        config.frame_samples,
-        config.hop_samples,
-    )

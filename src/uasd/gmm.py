@@ -39,14 +39,6 @@ class GmmModel:
     log_likelihood_trace: list[float] = field(default_factory=list)
     n_iterations: int = 0
 
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
 
 def _log_densities(x: np.ndarray, model_or_triplet) -> np.ndarray:
     """(N, M) log of weight_m * N(x_n; mean_m, diag var_m).
@@ -145,17 +137,17 @@ def gmm_score(x: np.ndarray, model: GmmModel) -> float | np.ndarray:
     return float(scores[0]) if single else scores
 
 
-def responsibilities(x: np.ndarray, model: GmmModel) -> np.ndarray:
-    """(N, M) posterior component memberships; rows sum to 1."""
-    log_joint = _log_densities(np.atleast_2d(x), model)
-    return np.exp(log_joint - _logsumexp(log_joint, axis=1)[:, None])
-
-
 def anomaly_score_od_sad(
-    features: FeatureMatrix, params: ActivityModelParams, model: GmmModel
+    features: FeatureMatrix, params: ActivityModelParams, model: GmmModel,
+    emb: np.ndarray | None = None,
 ) -> float:
-    """Mean embedding NLL over every (window, offset) pair of the clip."""
-    emb = embed_features(features, params)  # (n_windows, L, D)
+    """Mean embedding NLL over every (window, offset) pair of the clip.
+
+    ``emb`` is the clip's embed_features output when the caller already
+    has it.
+    """
+    if emb is None:
+        emb = embed_features(features, params)  # (n_windows, L, D)
     flat = emb.reshape(-1, emb.shape[-1])
     return float(np.mean(gmm_score(flat, model)))
 

@@ -74,20 +74,24 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint {path} does not exist")
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:8] != _MAGIC:
+    if len(blob) < 20 or blob[:8] != _MAGIC:
         raise DataError(f"{path}: not a checkpoint container")
-    (version,) = struct.unpack_from("<I", blob, 8)
+    version, header_len = struct.unpack_from("<IQ", blob, 8)
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", blob, 12)
-    header = json.loads(blob[20 : 20 + header_len].decode("utf-8"))
+    if len(blob) < 20 + header_len:
+        raise DataError(f"{path}: truncated checkpoint header")
     payload = blob[20 + header_len :]
     arrays = {}
-    for t in header["tensors"]:
-        raw = payload[t["offset"] : t["offset"] + t["nbytes"]]
-        if len(raw) != t["nbytes"]:
-            raise DataError(f"{path}: truncated tensor {t['name']!r}")
-        arrays[t["name"]] = np.frombuffer(raw, dtype="<f8").reshape(t["shape"]).astype(
-            np.float64
-        )
-    return header["kind"], header["netspec"], arrays, header["metadata"]
+    try:
+        header = json.loads(blob[20 : 20 + header_len].decode("utf-8"))
+        kind, netspec, metadata = header["kind"], header["netspec"], header["metadata"]
+        for t in header["tensors"]:
+            raw = payload[t["offset"] : t["offset"] + t["nbytes"]]
+            if len(raw) != t["nbytes"]:
+                raise DataError(f"{path}: truncated tensor {t['name']!r}")
+            arrays[t["name"]] = np.frombuffer(raw, dtype="<f8").reshape(
+                t["shape"]).astype(np.float64)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header ({exc})") from exc
+    return kind, netspec, arrays, metadata

@@ -10,6 +10,11 @@ Artifacts live under the configured output directory:
 
 Every artifact embeds the experiment config hash, and every consumer
 refuses inputs whose hash disagrees with the active configuration.
+
+`Experiment.load` is the one checkpoint loader. `Experiment.score` calls
+the per-method scorers directly (`anomaly_score_sad`,
+`anomaly_score_od_sad`, `ae_score`), handing the two activity scorers one
+shared embedding pass per clip.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ import numpy as np
 from .activity import (
     ActivityModelParams,
     activity_trace,
+    anomaly_score_sad,
     build_training_clips,
     embed_features,
     train_activity_model,
-    window_losses_from_embeddings,
 )
 from .audio import read_wav
 from .autoencoder import AeModel, ae_score, train_ae
@@ -42,8 +47,8 @@ from .evaluation import (
     run_evaluation,
     write_score_csv,
 )
-from .features import FeatureMatrix, attach_labels, logmel, window_labels
-from .gmm import GmmModel, collect_training_embeddings, fit_gmm, gmm_score
+from .features import FeatureMatrix, attach_labels, logmel
+from .gmm import GmmModel, anomaly_score_od_sad, collect_training_embeddings, fit_gmm
 from .ioutil import atomic_write_text, read_json, write_json
 from .nn import Parameter, load_checkpoint, save_checkpoint
 from .nn.netspec import build_network, load_state, parameter_count, state_arrays
@@ -57,9 +62,6 @@ METHODS = ("sad", "od_sad", "ae_labeled", "ae_unlabeled")
 @dataclass
 class Paths:
     out_dir: Path
-
-    def __init__(self, out_dir):
-        self.out_dir = Path(out_dir)
 
     @property
     def corpus_dir(self) -> Path:
@@ -97,7 +99,7 @@ class Experiment:
     def __init__(self, config: ExperimentConfig):
         config.validate()
         self.config = config
-        self.paths = Paths(config.out_dir)
+        self.paths = Paths(Path(config.out_dir))
         self._manifest: CorpusManifest | None = None
         self._feature_cache: dict[str, FeatureMatrix] = {}
 
@@ -164,97 +166,57 @@ class Experiment:
             self.config.features.window_frames, derive_seed(self.config.seed, "sad"),
         )
         path = self.paths.checkpoint("sad")
-        arrays = {f"embedder.{k}": v for k, v in state_arrays(params.embedder).items()}
-        arrays["classifier"] = params.classifier.value
-        save_checkpoint(
-            path, "sad", arrays, netspec=params.netspec,
-            metadata={
-                "config_hash": self.config.content_hash(),
-                "n_mels": self.config.features.n_mels,
-                "window_frames": params.window_frames,
-                "embedding_dim": params.embedding_dim,
-                "parameter_count": parameter_count(params.embedder)
-                + params.classifier.value.size,
-                "training_log": training_log.entries,
-            },
-        )
+        arrays, metadata = self._activity_state(params)
+        metadata["training_log"] = training_log.entries
+        save_checkpoint(path, "sad", arrays, netspec=params.netspec,
+                        metadata=metadata)
         log.info("saved sad checkpoint to %s", path)
         return path
-
-    def load_sad(self, path: Path | None = None) -> ActivityModelParams:
-        path = path or self.paths.checkpoint("sad")
-        kind, netspec, arrays, metadata = load_checkpoint(path)
-        if kind not in ("sad", "od_sad"):
-            raise ConfigError(f"{path} holds a {kind!r} checkpoint, not sad")
-        self._check_hash(metadata, path)
-        embedder = build_network(netspec, np.random.default_rng(0))
-        load_state(
-            embedder,
-            {k[len("embedder."):]: v for k, v in arrays.items()
-             if k.startswith("embedder.")},
-        )
-        return ActivityModelParams(
-            embedder=embedder,
-            classifier=Parameter(np.array(arrays["classifier"]), "classifier"),
-            netspec=netspec,
-            window_frames=int(metadata["window_frames"]),
-            embedding_dim=int(metadata["embedding_dim"]),
-        )
 
     def _train_od_sad(self, reuse: Path | None) -> Path:
         sad_path = reuse or self.paths.checkpoint("sad")
         if not Path(sad_path).exists():
             log.info("no sad checkpoint to reuse; training the activity model")
             sad_path = self._train_sad()
-        params = self.load_sad(Path(sad_path))
+        params = self.load("sad", Path(sad_path))
 
-        train_features = [
-            self.features_for(e, want_labels=False)
-            for e in self.manifest().split_entries("train")
-            if self.features_for(e, want_labels=False).n_frames
-            >= self.config.features.window_frames
-        ]
+        train_features = []
+        for entry in self.manifest().split_entries("train"):
+            f = self.features_for(entry, want_labels=False)
+            if f.n_frames >= self.config.features.window_frames:
+                train_features.append(f)
         rng = rng_for(self.config.seed, "gmm")
         pool = collect_training_embeddings(train_features, params, self.config.gmm, rng)
         model = fit_gmm(pool, self.config.gmm, rng)
 
         path = self.paths.checkpoint("od_sad")
-        arrays = {f"embedder.{k}": v for k, v in state_arrays(params.embedder).items()}
-        arrays["classifier"] = params.classifier.value
+        arrays, metadata = self._activity_state(params)
         arrays["gmm.weights"] = model.weights
         arrays["gmm.means"] = model.means
         arrays["gmm.variances"] = model.variances
-        _, _, _, sad_meta = load_checkpoint(sad_path)
-        save_checkpoint(
-            path, "od_sad", arrays, netspec=params.netspec,
-            metadata={
-                "config_hash": self.config.content_hash(),
-                "n_mels": sad_meta["n_mels"],
-                "window_frames": sad_meta["window_frames"],
-                "embedding_dim": sad_meta["embedding_dim"],
-                "parameter_count": sad_meta["parameter_count"],
-                "gmm_fit": {
-                    "iterations": model.n_iterations,
-                    "final_mean_log_likelihood": model.log_likelihood_trace[-1],
-                    "n_vectors": int(pool.shape[0]),
-                },
-            },
-        )
+        metadata["gmm_fit"] = {
+            "iterations": model.n_iterations,
+            "final_mean_log_likelihood": model.log_likelihood_trace[-1],
+            "n_vectors": int(pool.shape[0]),
+        }
+        save_checkpoint(path, "od_sad", arrays, netspec=params.netspec,
+                        metadata=metadata)
         log.info("saved od_sad checkpoint to %s", path)
         return path
 
-    def load_od_sad(self) -> tuple[ActivityModelParams, GmmModel]:
-        path = self.paths.checkpoint("od_sad")
-        kind, netspec, arrays, metadata = load_checkpoint(path)
-        if kind != "od_sad":
-            raise ConfigError(f"{path} holds a {kind!r} checkpoint, not od_sad")
-        self._check_hash(metadata, path)
-        params = self.load_sad(path)
-        model = GmmModel(
-            weights=arrays["gmm.weights"], means=arrays["gmm.means"],
-            variances=arrays["gmm.variances"],
-        )
-        return params, model
+    def _activity_state(self, params: ActivityModelParams) -> tuple[dict, dict]:
+        """Arrays and metadata shared by the sad and od_sad checkpoints."""
+        arrays = {f"embedder.{k}": v for k, v in state_arrays(params.embedder).items()}
+        arrays["classifier"] = params.classifier.value
+        metadata = {
+            "config_hash": self.config.content_hash(),
+            "n_mels": self.config.features.n_mels,
+            "window_frames": params.window_frames,
+            "embedding_dim": params.embedding_dim,
+            "parameter_count": parameter_count(params.embedder)
+            + params.classifier.value.size,
+        }
+        return arrays, metadata
 
     def _train_ae(self, method: str) -> Path:
         variant = "with_labels" if method == "ae_labeled" else "without_labels"
@@ -286,42 +248,54 @@ class Experiment:
         log.info("saved %s checkpoint to %s", method, path)
         return path
 
-    def load_ae(self, method: str) -> AeModel:
-        path = self.paths.checkpoint(method)
-        kind, netspec, arrays, metadata = load_checkpoint(path)
-        if kind != method:
-            raise ConfigError(f"{path} holds a {kind!r} checkpoint, not {method}")
-        self._check_hash(metadata, path)
-        network = build_network(netspec, np.random.default_rng(0))
-        load_state(
-            network,
-            {k[len("network."):]: v for k, v in arrays.items()
-             if k.startswith("network.")},
-        )
-        return AeModel(
-            network=network, netspec=netspec, input_dim=int(metadata["input_dim"]),
-            window_frames=int(metadata["window_frames"]),
-            uses_labels=metadata["variant"] == "with_labels",
-            metadata=dict(metadata),
-        )
+    def load(self, method: str, path: Path | None = None):
+        """Model of one method from its checkpoint (default location).
 
-    def _check_hash(self, metadata: dict, path) -> None:
+        Returns ActivityModelParams for sad, (ActivityModelParams,
+        GmmModel) for od_sad and an AeModel for the autoencoders. A sad
+        load also accepts an od_sad checkpoint, which holds the same
+        activity model.
+        """
+        path = path or self.paths.checkpoint(method)
+        kind, netspec, arrays, metadata = load_checkpoint(path)
+        if kind != method and (method, kind) != ("sad", "od_sad"):
+            raise ConfigError(f"{path} holds a {kind!r} checkpoint, not {method}")
         if metadata.get("config_hash") != self.config.content_hash():
             raise ConfigError(
                 f"{path} was produced under config hash "
                 f"{metadata.get('config_hash')}, current is "
                 f"{self.config.content_hash()}; refusing to mix"
             )
+        is_ae = method in ("ae_labeled", "ae_unlabeled")
+        network = build_network(netspec, np.random.default_rng(0))
+        load_state(network, arrays, "network." if is_ae else "embedder.")
+        if is_ae:
+            return AeModel(
+                network=network, netspec=netspec,
+                input_dim=int(metadata["input_dim"]),
+                window_frames=int(metadata["window_frames"]),
+                uses_labels=metadata["variant"] == "with_labels",
+                metadata=dict(metadata),
+            )
+        params = ActivityModelParams(
+            embedder=network,
+            classifier=Parameter(np.array(arrays["classifier"]), "classifier"),
+            netspec=netspec,
+            window_frames=int(metadata["window_frames"]),
+            embedding_dim=int(metadata["embedding_dim"]),
+        )
+        if method == "sad":
+            return params
+        return params, GmmModel(
+            weights=arrays["gmm.weights"], means=arrays["gmm.means"],
+            variances=arrays["gmm.variances"],
+        )
 
     # ----- scoring -----
 
     def score(self, methods: list[str], split: str = "test",
               clip_id: str | None = None) -> dict[str, list[ScoreRecord]]:
-        """Score clips (one split, or one clip by id) with each method.
-
-        The activity model's embeddings are computed once per clip and
-        shared between the detection-error and outlier scores.
-        """
+        """Score clips (one split, or one clip by id) with each method."""
         manifest = self.manifest()
         if clip_id is not None:
             entries = [manifest.by_id(clip_id)]
@@ -332,12 +306,9 @@ class Experiment:
                 raise DataError(f"split {split!r} has no entries")
             tag = split
 
-        sad_params = self.load_sad() if "sad" in methods else None
-        od_params = od_gmm = None
-        if "od_sad" in methods:
-            od_params, od_gmm = self.load_od_sad()
-        ae_models = {m: self.load_ae(m) for m in methods
-                     if m in ("ae_labeled", "ae_unlabeled")}
+        models = {m: self.load(m) for m in methods}
+        sad = models.get("sad")
+        od_sad = models.get("od_sad")
 
         records: dict[str, list[ScoreRecord]] = {m: [] for m in methods}
         for entry in entries:
@@ -351,15 +322,19 @@ class Experiment:
             features = self.features_for(
                 entry, want_labels=any(NEEDS_LABELS_AT_INFERENCE[m] for m in methods)
             )
-            shared_emb = None
-            if sad_params is not None or od_params is not None:
-                shared_emb = embed_features(features, sad_params or od_params)
+            # both activity checkpoints hold the activity model of this
+            # config hash, so one embedding pass serves both scores
+            emb = None
+            if sad is not None or od_sad is not None:
+                emb = embed_features(features, sad or od_sad[0])
             for method in methods:
                 try:
-                    value = self._score_one(
-                        method, features, shared_emb, sad_params, od_params, od_gmm,
-                        ae_models,
-                    )
+                    if method == "sad":
+                        value = anomaly_score_sad(features, sad, emb)
+                    elif method == "od_sad":
+                        value = anomaly_score_od_sad(features, *od_sad, emb)
+                    else:
+                        value = ae_score(features, models[method])
                 except ClipScoringError as exc:
                     log.error("scoring failed: %s", exc)
                     continue
@@ -386,24 +361,6 @@ class Experiment:
                 return {"files": {}}
             return meta
         return {"files": {}}
-
-    def _score_one(self, method, features, shared_emb, sad_params, od_params,
-                   od_gmm, ae_models) -> float:
-        if method == "sad":
-            if features.frame_labels is None:
-                raise ConfigError(
-                    f"clip {features.clip_id!r} has no labels for the "
-                    "detection-error score"
-                )
-            labels = window_labels(features, sad_params.window_frames)
-            losses = window_losses_from_embeddings(
-                shared_emb, labels, sad_params.classifier
-            )
-            return float(losses.mean())
-        if method == "od_sad":
-            flat = shared_emb.reshape(-1, shared_emb.shape[-1])
-            return float(np.mean(gmm_score(flat, od_gmm)))
-        return ae_score(features, ae_models[method])
 
     # ----- evaluation -----
 
@@ -462,7 +419,7 @@ class Experiment:
     # ----- tracing -----
 
     def trace(self, clip_id: str) -> Path:
-        params = self.load_sad()
+        params = self.load("sad")
         entry = self.manifest().by_id(clip_id)
         features = self.features_for(entry, want_labels=False)
         rows = activity_trace(features, params)

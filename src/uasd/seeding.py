@@ -12,13 +12,6 @@ import hashlib
 
 import numpy as np
 
-# Canonical sub-seed names used by the pipeline.
-SUBSEED_CORPUS = "corpus"
-SUBSEED_INIT = "init"
-SUBSEED_BATCHING = "batching"
-SUBSEED_GMM = "gmm"
-
-
 def derive_seed(master: int, name: str) -> int:
     """Derive a 63-bit child seed from a master seed and a label."""
     digest = hashlib.sha256(f"{master}/{name}".encode("utf-8")).digest()

@@ -277,7 +277,7 @@ class TestCriterion5EndToEnd:
 
         accuracies = []
         for _, (exp, _) in runs.items():
-            params = exp.load_sad()
+            params = exp.load("sad")
             for entry in exp.manifest().split_entries("test"):
                 if entry.condition == "normal" and entry.snr_db == 6.0:
                     feats = exp.features_for(entry, want_labels=True)

@@ -79,6 +79,30 @@ class TestReadWav:
         clip = read_wav(path)
         np.testing.assert_allclose(clip.samples, [-0.25, 0.0, 0.75], atol=1e-7)
 
+    def test_pcm16_partial_sample_rejected(self, tmp_path):
+        payload = struct.pack("<2h", 1, 2) + b"\x03"  # 5 bytes
+        blob = b"".join(
+            [b"RIFF", struct.pack("<I", 36 + len(payload) + 1), b"WAVE",
+             b"fmt ", struct.pack("<IHHIIHH", 16, 1, 1, 16000, 16000 * 2, 2, 16),
+             b"data", struct.pack("<I", len(payload)), payload, b"\x00"]
+        )
+        path = tmp_path / "odd.wav"
+        path.write_bytes(blob)
+        with pytest.raises(WavFormatError):
+            read_wav(path)
+
+    def test_float32_partial_sample_rejected(self, tmp_path):
+        payload = struct.pack("<2f", 0.25, -0.5) + b"\x00\x00"  # 10 bytes
+        blob = b"".join(
+            [b"RIFF", struct.pack("<I", 36 + len(payload)), b"WAVE",
+             b"fmt ", struct.pack("<IHHIIHH", 16, 3, 1, 16000, 16000 * 4, 4, 32),
+             b"data", struct.pack("<I", len(payload)), payload]
+        )
+        path = tmp_path / "f32odd.wav"
+        path.write_bytes(blob)
+        with pytest.raises(WavFormatError):
+            read_wav(path)
+
 
 class TestWriteWav:
     def test_silent_second_is_16000_zero_samples(self, tmp_path):

@@ -11,10 +11,8 @@ from uasd.features import (
     FeatureMatrix,
     frame_count,
     frame_labels,
-    load_feature_cache,
     logmel,
     mel_filterbank,
-    save_feature_cache,
     sliding_windows,
     window_labels,
     windows,
@@ -165,19 +163,3 @@ class TestWindows:
         with pytest.raises(ContractError):
             window_labels(self._features(10, labels=False), 4)
 
-
-class TestFeatureCache:
-    def test_round_trip(self, tmp_path, rng):
-        feats = FeatureMatrix(rng.normal(size=(17, 24)), 1024, 512)
-        path = tmp_path / "feat.bin"
-        save_feature_cache(feats, path)
-        loaded = load_feature_cache(path, FeatureConfig(n_mels=24))
-        np.testing.assert_array_equal(loaded.frames, feats.frames)
-        header = path.read_bytes()[:16]
-        assert header[:8] == b"UASDFEAT"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"WRONGMAG" + b"\x00" * 8)
-        with pytest.raises(DegenerateInputError):
-            load_feature_cache(path, CFG)

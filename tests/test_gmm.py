@@ -15,7 +15,6 @@ from uasd.gmm import (
     fit_gmm,
     gmm_score,
     kmeans_plusplus,
-    responsibilities,
 )
 
 L = 5
@@ -81,12 +80,6 @@ class TestFitGmm:
     def test_too_few_vectors_rejected(self, rng):
         with pytest.raises(DegenerateInputError):
             fit_gmm(rng.normal(0, 1, (19, 2)), GmmConfig(components=2), rng)
-
-    def test_responsibilities_sum_to_one(self, rng):
-        data = rng.normal(0, 1, (250, 3))
-        model = fit_gmm(data, GmmConfig(components=3), rng)
-        resp = responsibilities(data, model)
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
     def test_kmeans_plusplus_spreads_centers(self, rng):
         data = np.concatenate([rng.normal(c, 0.1, (50, 2)) for c in (0.0, 10.0)])

@@ -291,6 +291,28 @@ class TestNetspecAndCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "missing.ckpt")
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda b, h: b[:0],
+        lambda b, h: b[:10],
+        lambda b, h: b[:19],
+        lambda b, h: b[:20 + h // 2],  # inside the JSON header
+        lambda b, h: b[:len(b) - 4],  # inside the tensor payload
+        lambda b, h: b"X" + b[1:],  # magic
+        lambda b, h: b[:8] + (2).to_bytes(4, "little") + b[12:],  # version
+        lambda b, h: b[:20] + b"\xff" * h + b[20 + h:],  # header not JSON
+        lambda b, h: (b[:12] + (2).to_bytes(8, "little") + b"{}"
+                      + b[20 + h:]),  # header without its keys
+    ], ids=["empty", "cut10", "cut19", "mid_header", "mid_payload",
+            "magic", "version", "non_json", "missing_keys"])
+    def test_corrupt_checkpoint_raises_data_error(self, tmp_path, corrupt):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "t", {"v": np.arange(4.0)}, metadata={"a": 1})
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[12:20], "little")
+        path.write_bytes(corrupt(blob, header_len))
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
     def test_named_params_are_unique_and_stable(self, rng):
         net = self._net(rng)
         names = [n for n, _ in named_params(net)]

@@ -1,10 +1,12 @@
 """Experiment orchestration, config handling, and the CLI surface."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from uasd import activity, gmm, pipeline
 from uasd.cli import main as cli_main
 from uasd.config import ExperimentConfig, load_config, parse_config_text
 from uasd.corpus import CorpusManifest
@@ -151,7 +153,17 @@ class TestMicroPipeline:
         other = make_experiment(tmp_path, MICRO_OVERRIDES, seed=6)  # new seed
         other._manifest = exp.manifest()
         with pytest.raises(ConfigError):
-            other.load_sad(exp.paths.checkpoint("sad"))
+            other.load("sad", exp.paths.checkpoint("sad"))
+
+    @pytest.mark.parametrize("method, wrong_kind", [
+        ("sad", "ae_labeled"), ("od_sad", "sad"),
+        ("ae_labeled", "ae_unlabeled"), ("ae_unlabeled", "ae_labeled"),
+    ])
+    def test_wrong_kind_checkpoint_refused(self, micro_experiment, method,
+                                           wrong_kind):
+        exp, _ = micro_experiment
+        with pytest.raises(ConfigError):
+            exp.load(method, exp.paths.checkpoint(wrong_kind))
 
     def test_od_sad_reuses_sad_checkpoint(self, micro_experiment, tmp_path):
         exp, _ = micro_experiment
@@ -195,6 +207,49 @@ class TestCli:
         for item in MICRO_OVERRIDES + [f"out_dir={out_dir}", "seed=5"]:
             argv += ["--set", item]
         return argv
+
+    def _copy_trained(self, exp, out):
+        """The micro experiment's corpus and checkpoints; same config."""
+        shutil.copytree(exp.paths.corpus_dir, out / "corpus")
+        shutil.copytree(exp.paths.out_dir / "checkpoints", out / "checkpoints")
+
+    def test_score_method_list_matches_single_calls(self, micro_experiment,
+                                                    tmp_path, monkeypatch):
+        exp, _ = micro_experiment
+        out = tmp_path / "list"
+        self._copy_trained(exp, out)
+        for method in ("sad", "od-sad"):
+            assert cli_main(self._argv(out, "score", "--method", method,
+                                       "--split", "test")) == 0
+        singles = {p.name: p.read_bytes() for p in (out / "scores").glob("*.csv")}
+        shutil.rmtree(out / "scores")
+
+        embedded = []
+        original = activity.embed_features
+
+        def counting(features, params):
+            embedded.append(features.clip_id)
+            return original(features, params)
+
+        for module in (pipeline, activity, gmm):
+            monkeypatch.setattr(module, "embed_features", counting)
+        assert cli_main(self._argv(out, "score", "--method", "sad,od-sad",
+                                   "--split", "test")) == 0
+        combined = {p.name: p.read_bytes() for p in (out / "scores").glob("*.csv")}
+        assert sorted(combined) == ["od_sad_test.csv", "sad_test.csv"]
+        assert combined == singles
+        test_ids = [e.clip_id for e in exp.manifest().split_entries("test")]
+        assert embedded == test_ids
+
+    def test_score_with_truncated_checkpoint_is_exit_3(self, micro_experiment,
+                                                        tmp_path):
+        exp, _ = micro_experiment
+        out = tmp_path / "trunc"
+        self._copy_trained(exp, out)
+        ckpt = out / "checkpoints" / "sad.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+        assert cli_main(self._argv(out, "score", "--method", "sad",
+                                   "--split", "test")) == 3
 
     def test_gen_data_and_exit_codes(self, tmp_path, capsys):
         out = tmp_path / "cli"
